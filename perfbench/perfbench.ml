@@ -547,15 +547,13 @@ let end_to_end_names =
 
 (* --- per-layer figures of the traced repetition ---------------------- *)
 
-let counter_total reg name =
-  List.fold_left (fun acc (_, c) -> acc + Metrics.counter_value c) 0
-    (Metrics.counters_matching reg name)
-
 let counter_where reg name ~f =
   List.fold_left
     (fun acc (labels, c) -> if f labels then acc + Metrics.counter_value c else acc)
     0
     (Metrics.counters_matching reg name)
+
+let counter_total reg name = counter_where reg name ~f:(fun _ -> true)
 
 let gauge_peak reg name =
   List.fold_left (fun acc (_, g) -> Float.max acc (Metrics.gauge_max g)) 0.0
@@ -605,8 +603,7 @@ let outage_us wl r =
       let commits =
         Array.fold_left
           (fun acc a ->
-            if a.a_home = dc && a.a_committed && a.a_done >= lo && a.a_done < hi then
-              a.a_done :: acc
+            if a.a_home = dc && a.a_committed && in_window wl a.a_done then a.a_done :: acc
             else acc)
           [] r.arrivals
         |> List.sort compare
