@@ -67,12 +67,18 @@ type 'm node = {
   mutable incarnation : int;
 }
 
-(* Sender half of a reliable channel. [unacked] holds sent-but-unacked
-   messages in ascending sequence order; the retransmission timer walks it
-   with exponential backoff until a cumulative ack clears it. *)
+(* A sent-but-unacked packet; [sent_at] is its latest (re)transmission
+   by the timer, from which its retransmission deadline runs. *)
+type 'm pkt = { seq : int; msg : 'm; mutable sent_at : int }
+
+(* Sender half of a reliable channel. [unacked] is a FIFO of
+   sent-but-unacked packets in ascending sequence order: sends push, a
+   cumulative ack pops its prefix. The flow's one timer is due when the
+   head has gone [rto_us] without being (re)transmitted; it then resends
+   the whole window with exponential backoff (go-back-N). *)
 type 'm tx_flow = {
   mutable next_seq : int;
-  mutable unacked : (int * 'm) list;
+  unacked : 'm pkt Queue.t;
   base_rto_us : int;
   mutable rto_us : int;
   mutable timer_armed : bool;
@@ -409,13 +415,6 @@ let dc_failed_at t dc =
     invalid_arg "Network.dc_failed_at: no such data center";
   if t.failed.(dc) then Some t.failed_at.(dc) else None
 
-(* Revive a crashed data center. Its nodes come back with no in-flight
-   state: every FIFO channel and reliable-layer flow touching the DC is
-   discarded on both sides, so post-recovery traffic starts fresh
-   sequence spaces in both directions (resetting only the tx side would
-   leave the peer's rx [expected] suppressing the fresh seq-0 sends as
-   duplicates). Messages buffered for the DC while it was down died with
-   the crash — the protocol layer's rejoin sync recovers the content. *)
 (* Discard every FIFO channel and reliable-layer flow touching a node
    matched by [matches], on both sides, so post-recovery traffic starts
    fresh sequence spaces in both directions (resetting only the tx side
@@ -433,20 +432,23 @@ let reset_channels t ~matches =
     (fun ((src, dst) as key) ->
       (match Hashtbl.find_opt t.tx_flows key with
       | Some fl ->
-          if fl.unacked <> [] then
-            meter_backlog_add t ~src_dc:t.nodes.(src).dc
-              ~dst_dc:t.nodes.(dst).dc
-              (-List.length fl.unacked);
+          meter_backlog_add t ~src_dc:t.nodes.(src).dc
+            ~dst_dc:t.nodes.(dst).dc
+            (-Queue.length fl.unacked);
           (* an armed retransmission timer still references this
              record; emptying it makes the orphaned fire a no-op
              instead of replaying stale sequence numbers into the
              fresh flow's sequence space *)
-          fl.unacked <- []
+          Queue.clear fl.unacked
       | None -> ());
       Hashtbl.remove t.tx_flows key)
     (stale t.tx_flows);
   List.iter (Hashtbl.remove t.rx_flows) (stale t.rx_flows)
 
+(* Revive a crashed data center. Its nodes come back with no in-flight
+   state (see [reset_channels]). Messages buffered for the DC while it
+   was down died with the crash — the protocol layer's rejoin sync
+   recovers the content. *)
 let recover_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.recover_dc: no such data center";
@@ -561,7 +563,7 @@ let tx_flow t ~src ~dst =
       let fl =
         {
           next_seq = 0;
-          unacked = [];
+          unacked = Queue.create ();
           base_rto_us = base_rto;
           rto_us = base_rto;
           timer_armed = false;
@@ -608,27 +610,36 @@ let rec send_ack t ~src ~dst ~upto =
                 match Hashtbl.find_opt t.tx_flows (src, dst) with
                 | None -> ()
                 | Some fl ->
-                    let before = List.length fl.unacked in
-                    fl.unacked <-
-                      List.filter (fun (s, _) -> s > upto) fl.unacked;
-                    let after = List.length fl.unacked in
-                    if after <> before then begin
+                    let q = fl.unacked in
+                    let before = Queue.length q in
+                    while
+                      (not (Queue.is_empty q)) && (Queue.peek q).seq <= upto
+                    do
+                      ignore (Queue.pop q)
+                    done;
+                    let acked = before - Queue.length q in
+                    if acked > 0 then begin
                       (* progress resets the backoff and ends recovery *)
                       meter_backlog_add t ~src_dc:src_node.dc
-                        ~dst_dc:dst_node.dc (after - before);
+                        ~dst_dc:dst_node.dc (-acked);
                       fl.rto_us <- fl.base_rto_us;
                       fl.dup_acks <- 0;
                       fl.in_recovery <- false
                     end
-                    else if fl.unacked <> [] && not fl.in_recovery then begin
+                    else if (not (Queue.is_empty q)) && not fl.in_recovery
+                    then begin
                       (* duplicate cumulative ack: the receiver sees
                          packets beyond a sequence gap — a lost message,
                          or fresh sends landing right after a partition
                          heals. After three duplicates, retransmit the
                          missing head immediately rather than waiting
                          out the backed-off timeout (TCP fast
-                         retransmit); the reset timer resends the rest
-                         of the window if the gap is wider than one.
+                         retransmit); the timer resends the rest of the
+                         window if the gap is wider than one. The head's
+                         [sent_at] is left alone: were each fast
+                         retransmit to push the deadline back, a wide
+                         gap would heal one hole per round trip and
+                         go-back-N would never fire.
                          The [in_recovery] latch allows one fast
                          retransmit per stall: resends arrive as a burst
                          of further duplicate acks, which must not
@@ -641,16 +652,14 @@ let rec send_ack t ~src ~dst ~upto =
                         fl.dup_acks <- 0;
                         fl.in_recovery <- true;
                         fl.rto_us <- fl.base_rto_us;
-                        match fl.unacked with
-                        | (s, m) :: _ ->
-                            t.retransmissions <- t.retransmissions + 1;
-                            (match t.meter with
-                            | None -> ()
-                            | Some mt ->
-                                Sim.Metrics.incr mt.m_retransmit;
-                                Sim.Metrics.incr mt.m_fast_retransmit);
-                            transmit t f ~src ~dst s m
-                        | [] -> ()
+                        let head = Queue.peek q in
+                        t.retransmissions <- t.retransmissions + 1;
+                        (match t.meter with
+                        | None -> ()
+                        | Some mt ->
+                            Sim.Metrics.incr mt.m_retransmit;
+                            Sim.Metrics.incr mt.m_fast_retransmit);
+                        transmit t f ~src ~dst head.seq head.msg
                       end
                     end))
 
@@ -703,47 +712,61 @@ and transmit t f ~src ~dst seq msg =
       deliver_after (transit_us t ~src_dc ~dst_dc + extra_us);
       if duplicate then deliver_after (transit_us t ~src_dc ~dst_dc + extra_us)
 
+(* The flow timer is due when the head packet has gone [rto_us] since
+   its last transmission by the timer. A fire before that — the packets
+   it was armed for were acked and the new head is younger — only
+   re-arms; an overdue head resends the whole window (go-back-N),
+   restarts every packet's clock and doubles the RTO. Fresh sends are
+   therefore never resent early, while a window stalled by a partition
+   is resent in full one RTO after the stall, however many holes it
+   has. *)
 let rec arm_timer t f ~src ~dst fl =
-  if (not fl.timer_armed) && fl.unacked <> [] then begin
+  if (not fl.timer_armed) && not (Queue.is_empty fl.unacked) then begin
     fl.timer_armed <- true;
-    Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:fl.rto_us
-      (fun () ->
-        fl.timer_armed <- false;
-        if fl.unacked <> [] then begin
-          let src_node = node t src and dst_node = node t dst in
-          let src_dc = src_node.dc and dst_dc = dst_node.dc in
-          if node_failed t src_node then begin
-            meter_backlog_add t ~src_dc ~dst_dc (-List.length fl.unacked);
-            fl.unacked <- []
-          end
-          else if node_failed t dst_node then begin
-            (* the peer crashed: everything buffered is lost with it *)
-            List.iter
-              (fun _ -> count_drop t Crash ~src_dc ~dst_dc)
-              fl.unacked;
-            meter_backlog_add t ~src_dc ~dst_dc (-List.length fl.unacked);
-            fl.unacked <- []
-          end
-          else begin
-            List.iter
-              (fun (seq, msg) ->
-                t.retransmissions <- t.retransmissions + 1;
-                (match t.meter with
-                | None -> ()
-                | Some m -> Sim.Metrics.incr m.m_retransmit);
-                transmit t f ~src ~dst seq msg)
-              fl.unacked;
-            fl.rto_us <- min (2 * fl.rto_us) t.rto_cap_us;
-            arm_timer t f ~src ~dst fl
-          end
-        end)
+    let due = (Queue.peek fl.unacked).sent_at + fl.rto_us in
+    Sim.Engine.schedule_at t.eng ~label:(lab_retransmit t)
+      ~time:(max due (Sim.Engine.now t.eng))
+      (fun () -> on_timer t f ~src ~dst fl)
+  end
+
+and on_timer t f ~src ~dst fl =
+  fl.timer_armed <- false;
+  if not (Queue.is_empty fl.unacked) then begin
+    let src_node = node t src and dst_node = node t dst in
+    let src_dc = src_node.dc and dst_dc = dst_node.dc in
+    let now = Sim.Engine.now t.eng in
+    if node_failed t src_node then begin
+      meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
+      Queue.clear fl.unacked
+    end
+    else if node_failed t dst_node then begin
+      (* the peer crashed: everything buffered is lost with it *)
+      Queue.iter (fun _ -> count_drop t Crash ~src_dc ~dst_dc) fl.unacked;
+      meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
+      Queue.clear fl.unacked
+    end
+    else if now < (Queue.peek fl.unacked).sent_at + fl.rto_us then
+      arm_timer t f ~src ~dst fl
+    else begin
+      Queue.iter
+        (fun p ->
+          p.sent_at <- now;
+          t.retransmissions <- t.retransmissions + 1;
+          (match t.meter with
+          | None -> ()
+          | Some m -> Sim.Metrics.incr m.m_retransmit);
+          transmit t f ~src ~dst p.seq p.msg)
+        fl.unacked;
+      fl.rto_us <- min (2 * fl.rto_us) t.rto_cap_us;
+      arm_timer t f ~src ~dst fl
+    end
   end
 
 let reliable_send t f ~src ~dst msg =
   let fl = tx_flow t ~src ~dst in
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
-  fl.unacked <- fl.unacked @ [ (seq, msg) ];
+  Queue.push { seq; msg; sent_at = Sim.Engine.now t.eng } fl.unacked;
   meter_backlog_add t ~src_dc:(node t src).dc ~dst_dc:(node t dst).dc 1;
   transmit t f ~src ~dst seq msg;
   arm_timer t f ~src ~dst fl
@@ -795,7 +818,7 @@ let duplicates_suppressed t = t.dups_suppressed
 (* In-flight reliable-layer backlog: messages sent but not yet
    acknowledged across all channels (0 once the network is quiescent). *)
 let unacked_backlog t =
-  Hashtbl.fold (fun _ fl acc -> acc + List.length fl.unacked) t.tx_flows 0
+  Hashtbl.fold (fun _ fl acc -> acc + Queue.length fl.unacked) t.tx_flows 0
 
 let unacked_matching t ~f =
   match t.meter with
@@ -803,9 +826,9 @@ let unacked_matching t ~f =
   | Some m ->
       Hashtbl.fold
         (fun _ fl acc ->
-          acc
-          + List.length
-              (List.filter (fun (_, msg) -> f (m.kind_of msg)) fl.unacked))
+          Queue.fold
+            (fun acc p -> if f (m.kind_of p.msg) then acc + 1 else acc)
+            acc fl.unacked)
         t.tx_flows 0
 
 let dump_flows t =
@@ -816,13 +839,11 @@ let dump_flows t =
   let tx =
     Hashtbl.fold
       (fun (src, dst) fl acc ->
-        if fl.unacked = [] then acc
+        if Queue.is_empty fl.unacked then acc
         else
-          let seqs = List.map fst fl.unacked in
           Printf.sprintf "tx %s -> %s: unacked %d (min %d max %d) next %d rto %d armed %b rec %b"
-            (name src) (name dst) (List.length seqs)
-            (List.fold_left min max_int seqs)
-            (List.fold_left max min_int seqs)
+            (name src) (name dst) (Queue.length fl.unacked)
+            (Queue.peek fl.unacked).seq (fl.next_seq - 1)
             fl.next_seq fl.rto_us fl.timer_armed fl.in_recovery
           :: acc)
       t.tx_flows []

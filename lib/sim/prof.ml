@@ -14,30 +14,32 @@
    accrues per label:
 
    - exact event counts;
-   - exact allocation deltas ([Gc.counters] around the handler), the
-     deterministic hot-path metric: words/event is identical across
-     reruns under a fixed seed, so it can be gated hard in CI;
+   - exact allocation deltas around the handler, the deterministic
+     hot-path metric: words/event is identical across reruns under a
+     fixed seed, so it can be gated hard in CI;
    - sampled wall-clock time: every [sample_every]-th event is timed
      with the (injectable) wall clock and the measurement scaled by the
      sampling period, bounding profiling's syscall overhead.
 
-   Measured allocation includes a small constant profiler overhead per
-   event (the boxed floats of the two [Gc.counters] reads, ~26 words).
-   It is identical for baseline and candidate artifacts, so budget
-   comparisons cancel it out.
+   Minor words are read with [Gc.minor_words], which counts the current
+   minor-heap fill and so is exact at every call. [Gc.counters] is not:
+   on OCaml 5.1 it credits inline minor allocation only when a minor
+   collection runs, so its per-event deltas are ~0 with a jump of about
+   one minor heap on whichever event triggers the collection. It is
+   still the source of major words, counted as major minus promoted:
+   only what the handler allocated directly on the major heap. A
+   promotion moves words that were already counted as minor when
+   allocated, and it lands on whichever event triggers a minor
+   collection, so counting it would double-count and make words/event
+   depend on the process's GC history. Both readings bracket the
+   handler with the [Gc.counters] calls outermost, so their own
+   allocation is never charged to the label.
 
-   The OCaml 5.1 runtime occasionally misaccounts [Gc.counters] at a
-   minor-collection boundary: a spurious jump of a fixed fraction of
-   the minor heap (hundreds of thousands of words) lands on whichever
-   event triggered the collection, and where it lands depends on the
-   whole process's GC history, not on the simulated run. A handler in
-   this codebase allocates a few hundred words; an event delta of
-   [noise_threshold_words] (64 Ki words, 512 KiB) or more is therefore
-   physically implausible and is discarded as GC noise — counted under
-   [noise_events]/[noise_words] rather than the label, so per-label
-   words/event stays reproducible and safe to gate CI on. One-off
-   capacity doublings of large internal arrays land in the same bucket,
-   which is the right call for a per-event hot-path metric.
+   An event that allocates [noise_threshold_words] (64 Ki words,
+   512 KiB) or more is taken to be a one-off capacity doubling of a
+   large internal array: amortised setup, not per-event handler cost.
+   It is counted under [noise_events]/[noise_words] rather than the
+   label.
 
    Disabled profiling costs one branch per event in the engine loop and
    nothing else: [label] interns nothing and returns [none], and no Gc
@@ -56,16 +58,16 @@ type t = {
   mutable n : int;  (* interned labels, 0 until first enable *)
   mutable counts : int array;
   mutable minor : float array;  (* minor words allocated under the label *)
-  mutable major : float array;  (* major (incl. promoted) words *)
+  mutable major : float array;  (* words allocated directly on the major heap *)
   mutable wall_s : float array;  (* raw (unscaled) sampled seconds *)
   mutable samples : int array;
   mutable total : int;  (* events accounted while enabled *)
-  mutable noise_events : int;  (* events whose Gc delta was discarded *)
+  mutable noise_events : int;  (* events whose allocation was set aside *)
   mutable noise_words : float;  (* total discarded words *)
 }
 
-(* Per-event allocation deltas at or above this are runtime GC-boundary
-   misaccounting (or one-off capacity doublings), not handler cost. *)
+(* Per-event allocation deltas at or above this are taken to be one-off
+   capacity doublings, not handler cost. *)
 let noise_threshold_words = 65536.0
 
 let create () =
@@ -141,10 +143,13 @@ let account t lab f =
   t.counts.(lab) <- t.counts.(lab) + 1;
   let sampled = t.total mod t.sample_every = 0 in
   let t0 = if sampled then t.clock () else 0.0 in
-  let minor0, _, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   f ();
-  let minor1, _, major1 = Gc.counters () in
-  let dm = minor1 -. minor0 and dj = major1 -. major0 in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let dm = minor1 -. minor0
+  and dj = major1 -. promoted1 -. (major0 -. promoted0) in
   if dm +. dj >= noise_threshold_words then begin
     t.noise_events <- t.noise_events + 1;
     t.noise_words <- t.noise_words +. dm +. dj

@@ -4,8 +4,10 @@
     ["dc1/replica/handle:Replicate"], ["wal/fsync"]); events scheduled
     without one inherit the scheduling event's label. When enabled, the
     engine accrues per label: exact event counts, exact allocation
-    deltas ([Gc.counters] around each handler — deterministic under a
-    fixed seed, so words/event can be gated hard in CI), and sampled
+    deltas around each handler ([Gc.minor_words] for minor words,
+    [Gc.counters] for words allocated directly on the major heap,
+    promotions excluded — deterministic under a fixed seed, so
+    words/event can be gated hard in CI), and sampled
     wall-clock time (every [sample_every]-th event, bounding overhead).
 
     Disabled profiling costs one branch per event: {!label} interns
@@ -53,16 +55,13 @@ val account : t -> label -> (unit -> unit) -> unit
 (** Events accounted while enabled. *)
 val total_events : t -> int
 
-(** Events whose allocation delta was discarded as GC noise: the OCaml
-    5.1 runtime occasionally misaccounts [Gc.counters] at a
-    minor-collection boundary by a fixed fraction of the minor heap,
-    landing on whichever event triggered the collection. Deltas of 64 Ki
-    words or more per event are physically implausible for this
-    codebase's handlers and are counted here instead of under the label,
-    keeping per-label words/event reproducible and safe to gate. *)
+(** Events whose allocation was set aside as noise: a delta of 64 Ki
+    words or more in one event is taken to be a one-off capacity
+    doubling of a large internal array, not per-event handler cost, and
+    is counted here instead of under the label. *)
 val noise_events : t -> int
 
-(** Total words discarded as GC noise. *)
+(** Total words set aside as noise. *)
 val noise_words : t -> float
 
 (** Events carrying a label other than ["other"]. *)

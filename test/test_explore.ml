@@ -180,10 +180,17 @@ let test_explore_deterministic () =
    ack-to-fsync window silently discards a PREPARE whose coordinator
    goes on to commit — the client saw the ack, no replica ever applies
    the write. Flip the hook, let the explorer's trial path find it,
-   shrink the schedule, and replay the repro document. *)
+   shrink the schedule, and replay the repro document.
+
+   The seed must put a node crash inside an ack-to-fsync window, which
+   depends on the whole run's timing: even the quiet profile runs the
+   inter-DC links over the ack/retransmit transport, whose jitter draws
+   shape every later event. Any change to that layer's traffic can move
+   the window, so the seed is re-pinned with it (45: clean run green,
+   planted bug caught). *)
 let test_planted_bug_found_shrunk_replayed () =
   let p = quiet_profile ~max_node_crashes:2 () in
-  let seed = 5 in
+  let seed = 45 in
   let sched = E.schedule_of p ~seed in
   (* sanity: the same trial is green without the bug *)
   let clean, _ = E.run_with p ~seed ~sched in

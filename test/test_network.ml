@@ -155,6 +155,169 @@ let test_topology_growth_order () =
   Alcotest.(check string) "fifth DC is Brazil" "brazil"
     (Net.Topology.region_of_dc t5 4)
 
+(* --- reliable (ack/retransmit) layer ----------------------------------- *)
+
+(* Virginia -> California over the lossy transport with a clean fault
+   model: one-way 30.5 ms, so RTT 61 ms and a base RTO of
+   61 ms + 2 x jitter + 10 ms. [received] collects delivered payloads in
+   delivery order. *)
+let mk_reliable ?(jitter = 0) () =
+  let eng, net = mk ~jitter () in
+  let faults = Net.Network.enable_faults net in
+  let reg = Sim.Metrics.create () in
+  Net.Network.set_meter net reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8);
+  let received = ref [] in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun _ -> ()) in
+  let b =
+    Net.Network.register net ~dc:1
+      ~cost:(fun _ -> 0)
+      (fun (m : int) -> received := m :: !received)
+  in
+  (eng, net, faults, reg, a, b, received)
+
+let rtt_us = 61_000
+
+(* [n] sends from [start_us], one every [every_us], the [i]-th carrying
+   payload [first + i]. *)
+let stream eng net ~src ~dst ?(start_us = 0) ?(first = 0) ~every_us n =
+  for i = 0 to n - 1 do
+    Sim.Engine.schedule_at eng ~time:(start_us + (i * every_us)) (fun () ->
+        Net.Network.send net ~src ~dst (first + i))
+  done
+
+(* A sender that never quiesces fails the test instead of hanging it. *)
+let run_bounded eng = Sim.Engine.run ~until:20_000_000 eng
+
+let check_exactly_once_in_order what expected received =
+  Alcotest.(check (list int)) what expected (List.rev !received)
+
+let test_clean_stream_no_retransmit () =
+  let eng, net, _, _, a, b, received = mk_reliable ~jitter:500 () in
+  (* 2 s of sends, ~27 base RTOs, with jitter below the send interval so
+     nothing reorders: every packet is acked in about one RTT and none
+     may be resent *)
+  stream eng net ~src:a ~dst:b ~every_us:2_000 1_000;
+  run_bounded eng;
+  check_exactly_once_in_order "all delivered once, in order"
+    (List.init 1_000 Fun.id) received;
+  Alcotest.(check int) "no retransmission" 0
+    (Net.Network.retransmissions net);
+  Alcotest.(check int) "no duplicate at the receiver" 0
+    (Net.Network.duplicates_suppressed net);
+  Alcotest.(check int) "nothing left unacked" 0
+    (Net.Network.unacked_backlog net)
+
+let test_partition_heal_drains () =
+  let eng, net, faults, _, a, b, received = mk_reliable ~jitter:1_000 () in
+  let every_us = 1_000 and heal_us = 3_050_000 in
+  (* sends every 1 ms through a ~2 s partition and on for 1.5 s after
+     the heal, so fresh sends keep landing behind the ~2,000 holes the
+     partition left and raise a duplicate ack every millisecond. The
+     backed-off timer fires at 3.04 s, just before the heal, so the next
+     go-back-N is a full [rto_cap] away. Were each progress ack to push
+     the timer back, fast retransmit would heal one hole per round trip
+     (64 ms, inside the 73 ms base RTO) and go-back-N would never
+     fire. *)
+  let n = (heal_us + 1_500_000) / every_us in
+  let sent_before_heal = heal_us / every_us in
+  stream eng net ~src:a ~dst:b ~every_us n;
+  Sim.Engine.schedule_at eng ~time:1_000_000 (fun () ->
+      Net.Faults.partition faults 0 1);
+  Sim.Engine.schedule_at eng ~time:heal_us (fun () ->
+      Net.Faults.heal faults 0 1);
+  let deadline = heal_us + Net.Network.rto_cap net + (2 * rtt_us) in
+  let delivered = ref (-1) and backlog = ref (-1) in
+  Sim.Engine.schedule_at eng ~time:deadline (fun () ->
+      delivered := List.length !received;
+      backlog := Net.Network.unacked_backlog net);
+  run_bounded eng;
+  Alcotest.(check bool) "the partition dropped packets" true
+    (Net.Network.dropped_partition net > 0);
+  check_exactly_once_in_order "all delivered once, in order"
+    (List.init n Fun.id) received;
+  (* within rto_cap + 2 RTTs of the heal: everything sent before it has
+     arrived, and only the last two RTTs of sends are still unacked *)
+  Alcotest.(check bool)
+    (Fmt.str "pre-heal sends delivered by the deadline (%d of %d)" !delivered
+       sent_before_heal)
+    true
+    (!delivered >= sent_before_heal);
+  Alcotest.(check bool)
+    (Fmt.str "backlog drained by the deadline (%d unacked)" !backlog)
+    true
+    (!backlog <= 2 * rtt_us / every_us)
+
+let test_loss_dup_exactly_once () =
+  let eng, net, faults, _, a, b, received = mk_reliable ~jitter:2_000 () in
+  Net.Faults.set_drop faults 0.1;
+  Net.Faults.set_dup faults 0.1;
+  stream eng net ~src:a ~dst:b ~every_us:1_000 500;
+  run_bounded eng;
+  check_exactly_once_in_order "lossy + duplicating link: exactly once, FIFO"
+    (List.init 500 Fun.id) received;
+  Alcotest.(check bool) "losses were retransmitted" true
+    (Net.Network.retransmissions net > 0);
+  Alcotest.(check bool) "duplicates were suppressed" true
+    (Net.Network.duplicates_suppressed net > 0);
+  (* two stalls, exactly: no jitter and no random faults, and a 1 ms
+     partition swallows the packet sent at 100 ms, then the one sent at
+     400 ms. Each is followed by nine more packets whose duplicate acks
+     reach the sender from 62 ms later; the third fast-retransmits the
+     hole and the latch swallows the other six. Each burst ends there:
+     a stream running on would see the duplicates of the timer's
+     go-back-N resend ack a head that is merely in flight, and those
+     duplicate acks may fast-retransmit it too. *)
+  let eng, net, faults, reg, a, b, received = mk_reliable () in
+  stream eng net ~src:a ~dst:b ~every_us:1_000 110;
+  stream eng net ~src:a ~dst:b ~start_us:300_000 ~first:110 ~every_us:1_000
+    110;
+  List.iter
+    (fun at_us ->
+      Sim.Engine.schedule_at eng ~time:(at_us - 500) (fun () ->
+          Net.Faults.partition faults 0 1);
+      Sim.Engine.schedule_at eng ~time:(at_us + 500) (fun () ->
+          Net.Faults.heal faults 0 1))
+    [ 100_000; 400_000 ];
+  run_bounded eng;
+  Alcotest.(check int) "two packets cut" 2 (Net.Network.dropped_partition net);
+  check_exactly_once_in_order "the holes are repaired, FIFO preserved"
+    (List.init 220 Fun.id) received;
+  Alcotest.(check int) "one fast retransmit per stall" 2
+    (Sim.Metrics.counter_value
+       (Sim.Metrics.counter reg "net_fast_retransmits_total"))
+
+let test_recover_node_fresh_flow () =
+  let eng, net, _, _, a, b, received = mk_reliable () in
+  (* a stream runs from 0 ms; b crashes and restarts at 200 ms, with
+     30 ms of packets and acks in flight and a's retransmission timer
+     armed on the old flow, and sending resumes at 200.5 ms on a fresh
+     flow. Stale acks carry sequence numbers up to ~170 from the old
+     flow: applied to the fresh one, they would pop packets it has not
+     delivered. Stale resends from the orphaned timer would land in the
+     fresh flow's sequence space as packets it has not sent yet. *)
+  stream eng net ~src:a ~dst:b ~every_us:1_000 200;
+  Sim.Engine.schedule_at eng ~time:200_000 (fun () ->
+      Net.Network.fail_node net b;
+      Net.Network.recover_node net b;
+      received := []);
+  let restart_us = 200_500 in
+  stream eng net ~src:a ~dst:b ~start_us:restart_us ~first:1_000
+    ~every_us:1_000 300;
+  (* no fresh ack can reach a before the first fresh send + RTT *)
+  let backlog = ref (-1) in
+  Sim.Engine.schedule_at eng ~time:(restart_us + rtt_us - 1) (fun () ->
+      backlog := Net.Network.unacked_backlog net);
+  run_bounded eng;
+  Alcotest.(check int) "stale acks did not truncate the fresh flow"
+    (rtt_us / 1_000) !backlog;
+  check_exactly_once_in_order "the fresh flow delivers exactly once, in order"
+    (List.init 300 (fun i -> 1_000 + i))
+    received;
+  Alcotest.(check int) "the orphaned timer resent nothing" 0
+    (Net.Network.retransmissions net);
+  Alcotest.(check int) "no stale packet reached the fresh receiver" 0
+    (Net.Network.duplicates_suppressed net)
+
 let suite =
   [
     Alcotest.test_case "WAN latency from the topology" `Quick test_latency;
@@ -172,4 +335,12 @@ let suite =
       test_topology_paper_rtts;
     Alcotest.test_case "deployment growth order (§8.3)" `Quick
       test_topology_growth_order;
+    Alcotest.test_case "reliable layer: a clean stream is never resent"
+      `Quick test_clean_stream_no_retransmit;
+    Alcotest.test_case "reliable layer: a healed partition drains in one RTO"
+      `Quick test_partition_heal_drains;
+    Alcotest.test_case "reliable layer: exactly-once FIFO under loss and dup"
+      `Quick test_loss_dup_exactly_once;
+    Alcotest.test_case "reliable layer: node restart starts a clean flow"
+      `Quick test_recover_node_fresh_flow;
   ]

@@ -142,8 +142,47 @@ let test_determinism_across_reruns () =
       close a.Prof.e_major_words b.Prof.e_major_words)
     e1 e2
 
-(* A physically-implausible per-event allocation delta (>= 64 Ki words)
-   is discarded as runtime GC-boundary noise instead of skewing the
+(* Attribution is exact per event: a handler that allocates a known
+   number of minor words is charged exactly that, event after event,
+   across many minor collections, and an empty handler is charged
+   nothing. [Gc.counters] fails this: it credits inline allocation only
+   when a minor collection runs. *)
+let test_exact_minor_attribution () =
+  let eng = mk_engine () in
+  let p = Engine.prof eng in
+  let idle = Prof.label p "idle" and work = Prof.label p "work" in
+  let sink = ref [||] in
+  let n = 20_000 in
+  for i = 1 to n do
+    Engine.schedule eng ~delay:i ~label:idle (fun () -> ());
+    (* 99 fields plus a header: 100 words on the minor heap; 2M words
+       in all, several minor heaps' worth *)
+    Engine.schedule eng ~delay:i ~label:work (fun () ->
+        sink := Array.make 99 i)
+  done;
+  let minors0 = (Gc.quick_stat ()).Gc.minor_collections in
+  Engine.run eng;
+  ignore !sink;
+  Alcotest.(check bool) "the run crossed minor collections" true
+    ((Gc.quick_stat ()).Gc.minor_collections - minors0 >= 4);
+  let entry name =
+    match List.find_opt (fun e -> e.Prof.e_label = name) (Prof.entries p) with
+    | Some e -> e
+    | None -> Alcotest.failf "label %s missing" name
+  in
+  Alcotest.(check (float 0.0)) "empty handler charged nothing" 0.0
+    (entry "idle").Prof.e_minor_words;
+  Alcotest.(check (float 0.0)) "100 words per allocating event, exactly"
+    (float_of_int (100 * n))
+    (entry "work").Prof.e_minor_words;
+  (* the collections these events trigger promote the pending events'
+     closures: that is not the handler's allocation *)
+  Alcotest.(check (float 0.0)) "no major words: promotions are not charged"
+    0.0 (entry "work").Prof.e_major_words;
+  Alcotest.(check int) "nothing set aside as noise" 0 (Prof.noise_events p)
+
+(* A one-off allocation of >= 64 Ki words in one event (a capacity
+   doubling of a large array) is set aside instead of skewing the
    label's words/event. *)
 let test_gc_noise_clamped () =
   let eng = mk_engine () in
@@ -152,8 +191,8 @@ let test_gc_noise_clamped () =
   let sink = ref [||] in
   Engine.schedule eng ~delay:1 ~label:l (fun () -> ());
   Engine.schedule eng ~delay:2 ~label:l (fun () ->
-      (* one huge allocation: indistinguishable from runtime
-         misaccounting, so it must land in the noise bucket *)
+      (* one huge allocation: amortised setup, not per-event cost,
+         so it must land in the noise bucket *)
       sink := Array.make 100_000 0.0);
   Engine.run eng;
   ignore !sink;
@@ -386,6 +425,8 @@ let suite =
       test_determinism_across_reruns;
     Alcotest.test_case "GC-boundary noise is discarded" `Quick
       test_gc_noise_clamped;
+    Alcotest.test_case "minor words are attributed exactly per event"
+      `Quick test_exact_minor_attribution;
     Alcotest.test_case "protocol stack is >= 95% attributed" `Quick
       test_stack_coverage;
     Alcotest.test_case "folded-stack export is well-formed" `Quick
