@@ -50,9 +50,15 @@ type 'm node = {
      so they keep sending and receiving while the DC is crashed *)
   client : bool;
   (* profiling identity: handler events run as "<name>/handle:<kind>".
-     Labels are interned once per (node, kind) through [lab_cache]. *)
+     Labels are interned once per (node, kind) into [lab_cache], indexed
+     by the meter's kind index and allocated on first use;
+     [Sim.Prof.none] marks a kind not interned yet. *)
   name : string;
-  lab_cache : (string, Sim.Prof.label) Hashtbl.t;
+  mutable lab_cache : Sim.Prof.label array;
+  (* FIFO clamp of the direct path: last scheduled arrival time of this
+     node's sends, indexed by destination address; -1 when there is
+     none. Grows on demand. *)
+  mutable fifo : int array;
   cost : 'm -> int;
   handler : 'm -> unit;
   mutable busy_until : int;
@@ -62,8 +68,10 @@ type 'm node = {
      up. Distinct from the DC crash so one process can restart with its
      disk intact while siblings keep serving. *)
   mutable down : bool;
-  (* bumped on every node-level restart; pre-crash in-flight traffic
-     addressed to the node is discarded by the epoch check *)
+  (* bumped on every restart of the node (its own, or its DC's); an
+     in-flight message carries both ends' incarnations from its send
+     and is discarded on arrival if either has changed. A client's
+     never changes: it is outside its DC's failure domain. *)
   mutable incarnation : int;
 }
 
@@ -99,16 +107,21 @@ type 'm rx_flow = {
    (messages and estimated bytes), reliable-layer counters
    (retransmits, fast retransmits, duplicate acks, suppressed
    duplicates, acks), drops by cause, and per-link backlog gauges.
-   Handle lookups are cached here so the per-message cost is a hash hit
-   plus an increment; with no meter installed the cost is one branch. *)
+   Handles are cached in arrays indexed by kind ([kind_index]) and by
+   link ([src_dc * dcs + dst_dc]), so the per-message cost is an array
+   read plus an increment; with no meter installed the cost is one
+   branch. Each handle is registered on first use, so the registry
+   lists only the kinds and links that carried traffic. *)
 type 'm meter = {
   reg : Sim.Metrics.t;
-  kind_of : 'm -> string;
+  kinds : string array;  (* kind index -> name *)
+  kind_index : 'm -> int;
   size_of : 'm -> int;  (* estimated wire bytes *)
-  by_kind_sent : (string, Sim.Metrics.counter * Sim.Metrics.counter) Hashtbl.t;
-  by_kind_recv : (string, Sim.Metrics.counter) Hashtbl.t;
-  by_link : (int * int, Sim.Metrics.counter * Sim.Metrics.counter) Hashtbl.t;
-  by_link_backlog : (int * int, Sim.Metrics.gauge) Hashtbl.t;
+  dcs : int;
+  by_kind_sent : (Sim.Metrics.counter * Sim.Metrics.counter) option array;
+  by_kind_recv : Sim.Metrics.counter option array;
+  by_link : (Sim.Metrics.counter * Sim.Metrics.counter) option array;
+  by_link_backlog : Sim.Metrics.gauge option array;
   m_retransmit : Sim.Metrics.counter;
   m_fast_retransmit : Sim.Metrics.counter;
   m_dup_ack : Sim.Metrics.counter;
@@ -127,8 +140,6 @@ type 'm t = {
   mutable node_count : int;
   mutable failed : bool array;
   failed_at : int array;  (* crash time per DC, -1 when never/not failed *)
-  epochs : int array;  (* per-DC incarnation, bumped on recovery *)
-  fifo : (int * int, int) Hashtbl.t;  (* (src, dst) -> last arrival time *)
   mutable faults : Faults.t option;
   tx_flows : (int * int, 'm tx_flow) Hashtbl.t;
   rx_flows : (int * int, 'm rx_flow) Hashtbl.t;
@@ -168,8 +179,6 @@ let create eng topo =
     node_count = 0;
     failed = Array.make (Topology.dcs topo) false;
     failed_at = Array.make (Topology.dcs topo) (-1);
-    epochs = Array.make (Topology.dcs topo) 0;
-    fifo = Hashtbl.create 1024;
     faults = None;
     tx_flows = Hashtbl.create 256;
     rx_flows = Hashtbl.create 256;
@@ -220,14 +229,22 @@ let lab_retransmit t =
   end
 
 (* "<node>/handle:<kind>" label for a handler-execution event, cached
-   per (node, kind). Only called when the profiler is on. *)
-let handler_label t n kind =
-  match Hashtbl.find_opt n.lab_cache kind with
-  | Some l -> l
-  | None ->
-      let l = Sim.Prof.label t.prof (n.name ^ "/handle:" ^ kind) in
-      Hashtbl.replace n.lab_cache kind l;
-      l
+   per (node, kind) when a meter names the kinds; without one every
+   message is of kind "msg". Only called when the profiler is on. *)
+let handler_label t n msg =
+  match t.meter with
+  | None -> Sim.Prof.label t.prof (n.name ^ "/handle:msg")
+  | Some m ->
+      if Array.length n.lab_cache = 0 then
+        n.lab_cache <- Array.make (Array.length m.kinds) Sim.Prof.none;
+      let k = m.kind_index msg in
+      let l = n.lab_cache.(k) in
+      if l <> Sim.Prof.none then l
+      else begin
+        let l = Sim.Prof.label t.prof (n.name ^ "/handle:" ^ m.kinds.(k)) in
+        n.lab_cache.(k) <- l;
+        l
+      end
 
 (* Install a fault model: switches inter-DC channels to the lossy
    transport with the ack/retransmission layer. Idempotent. *)
@@ -250,18 +267,21 @@ let set_rto_cap t cap =
 
 let rto_cap t = t.rto_cap_us
 
-let set_meter t reg ~kind_of ~size_of =
+let set_meter t reg ~kinds ~kind_index ~size_of =
   let c ?labels name = Sim.Metrics.counter reg ?labels name in
+  let nkinds = Array.length kinds and dcs = Topology.dcs t.topo in
   t.meter <-
     Some
       {
         reg;
-        kind_of;
+        kinds;
+        kind_index;
         size_of;
-        by_kind_sent = Hashtbl.create 64;
-        by_kind_recv = Hashtbl.create 64;
-        by_link = Hashtbl.create 32;
-        by_link_backlog = Hashtbl.create 32;
+        dcs;
+        by_kind_sent = Array.make nkinds None;
+        by_kind_recv = Array.make nkinds None;
+        by_link = Array.make (dcs * dcs) None;
+        by_link_backlog = Array.make (dcs * dcs) None;
         m_retransmit = c "net_retransmits_total";
         m_fast_retransmit = c "net_fast_retransmits_total";
         m_dup_ack = c "net_dup_acks_total";
@@ -274,33 +294,36 @@ let set_meter t reg ~kind_of ~size_of =
       }
 
 (* Cached (counter, bytes-counter) per message kind / DC link. *)
-let meter_kind_sent m kind =
-  match Hashtbl.find_opt m.by_kind_sent kind with
+let meter_kind_sent m k =
+  match m.by_kind_sent.(k) with
   | Some pair -> pair
   | None ->
-      let labels = [ ("kind", kind) ] in
+      let labels = [ ("kind", m.kinds.(k)) ] in
       let pair =
         ( Sim.Metrics.counter m.reg ~labels "net_sent_total",
           Sim.Metrics.counter m.reg ~labels "net_sent_bytes" )
       in
-      Hashtbl.replace m.by_kind_sent kind pair;
+      m.by_kind_sent.(k) <- Some pair;
       pair
 
-let meter_kind_recv m kind =
-  match Hashtbl.find_opt m.by_kind_recv kind with
+let meter_kind_recv m k =
+  match m.by_kind_recv.(k) with
   | Some ctr -> ctr
   | None ->
       let ctr =
-        Sim.Metrics.counter m.reg ~labels:[ ("kind", kind) ] "net_received_total"
+        Sim.Metrics.counter m.reg
+          ~labels:[ ("kind", m.kinds.(k)) ]
+          "net_received_total"
       in
-      Hashtbl.replace m.by_kind_recv kind ctr;
+      m.by_kind_recv.(k) <- Some ctr;
       ctr
 
 let link_labels ~src_dc ~dst_dc =
   [ ("src_dc", string_of_int src_dc); ("dst_dc", string_of_int dst_dc) ]
 
 let meter_link m ~src_dc ~dst_dc =
-  match Hashtbl.find_opt m.by_link (src_dc, dst_dc) with
+  let i = (src_dc * m.dcs) + dst_dc in
+  match m.by_link.(i) with
   | Some pair -> pair
   | None ->
       let labels = link_labels ~src_dc ~dst_dc in
@@ -308,11 +331,12 @@ let meter_link m ~src_dc ~dst_dc =
         ( Sim.Metrics.counter m.reg ~labels "net_link_sent_total",
           Sim.Metrics.counter m.reg ~labels "net_link_sent_bytes" )
       in
-      Hashtbl.replace m.by_link (src_dc, dst_dc) pair;
+      m.by_link.(i) <- Some pair;
       pair
 
 let meter_backlog m ~src_dc ~dst_dc =
-  match Hashtbl.find_opt m.by_link_backlog (src_dc, dst_dc) with
+  let i = (src_dc * m.dcs) + dst_dc in
+  match m.by_link_backlog.(i) with
   | Some g -> g
   | None ->
       let g =
@@ -320,7 +344,7 @@ let meter_backlog m ~src_dc ~dst_dc =
           ~labels:(link_labels ~src_dc ~dst_dc)
           "net_flow_backlog"
       in
-      Hashtbl.replace m.by_link_backlog (src_dc, dst_dc) g;
+      m.by_link_backlog.(i) <- Some g;
       g
 
 (* Backlog delta on the (src_dc, dst_dc) gauge; the gauge also tracks
@@ -363,7 +387,8 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       dc;
       client;
       name;
-      lab_cache = Hashtbl.create 8;
+      lab_cache = [||];
+      fifo = [||];
       cost;
       handler;
       busy_until = 0;
@@ -395,13 +420,6 @@ let dc_failed t dc = t.failed.(dc)
    and outlive the crash. *)
 let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
 
-(* Incarnation used for in-flight staleness checks: the DC-crash epoch
-   paired with the node's own restart incarnation. Client nodes never
-   lose state, so their incarnation is constant: a message between a
-   client and a live peer must survive the colocated DC's recovery
-   (which bumps the DC epoch to invalidate pre-crash traffic). *)
-let epoch_of t n = if n.client then (0, 0) else (t.epochs.(n.dc), n.incarnation)
-
 let fail_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.fail_dc: no such data center";
@@ -427,7 +445,14 @@ let reset_channels t ~matches =
         if matches src || matches dst then key :: acc else acc)
       tbl []
   in
-  List.iter (Hashtbl.remove t.fifo) (stale t.fifo);
+  for src = 0 to t.node_count - 1 do
+    let fifo = t.nodes.(src).fifo in
+    if matches src then Array.fill fifo 0 (Array.length fifo) (-1)
+    else
+      for dst = 0 to min (Array.length fifo) t.node_count - 1 do
+        if matches dst then fifo.(dst) <- -1
+      done
+  done;
   List.iter
     (fun ((src, dst) as key) ->
       (match Hashtbl.find_opt t.tx_flows key with
@@ -455,15 +480,20 @@ let recover_dc t dc =
   if t.failed.(dc) then begin
     t.failed.(dc) <- false;
     t.failed_at.(dc) <- -1;
-    (* new incarnation: anything still in flight from before the crash
-       (stale data packets, cumulative acks) is discarded on arrival *)
-    t.epochs.(dc) <- t.epochs.(dc) + 1;
-    (* client nodes kept their state through the crash: their channels
-       to live DCs are intact and must not be reset *)
-    reset_channels t ~matches:(fun addr ->
-        addr >= 0 && addr < t.node_count
-        && t.nodes.(addr).dc = dc
-        && not t.nodes.(addr).client)
+    (* client nodes kept their state through the crash: their
+       incarnations and their channels to live DCs are intact *)
+    let member addr =
+      let n = t.nodes.(addr) in
+      n.dc = dc && not n.client
+    in
+    (* new incarnation for every member: anything still in flight from
+       before the crash (stale data packets, cumulative acks) is
+       discarded on arrival *)
+    for addr = 0 to t.node_count - 1 do
+      if member addr then
+        t.nodes.(addr).incarnation <- t.nodes.(addr).incarnation + 1
+    done;
+    reset_channels t ~matches:member
   end
 
 (* Node-level failure domain: one machine dies while its DC stays up.
@@ -478,7 +508,7 @@ let node_down t addr = (node t addr).down
 
 (* Restart a crashed machine: like [recover_dc] but scoped to one
    address — fresh incarnation (in-flight pre-crash traffic dies on the
-   epoch check), both-sided channel reset, and an idle CPU. *)
+   incarnation check), both-sided channel reset, and an idle CPU. *)
 let recover_node t addr =
   let n = node t addr in
   if n.down then begin
@@ -506,22 +536,20 @@ let process t dst_node msg =
   let finish = start + cost in
   dst_node.busy_until <- finish;
   dst_node.busy_us <- dst_node.busy_us + cost;
-  let ep = epoch_of t dst_node in
+  let inc = dst_node.incarnation in
   (* handler events carry the node's own identity plus the message kind
      (when a meter names kinds), so replica work is attributed to
      "dcN/replica/handle:Replicate" rather than to whoever sent it *)
   let label =
-    if Sim.Prof.is_on t.prof then
-      handler_label t dst_node
-        (match t.meter with Some m -> m.kind_of msg | None -> "msg")
+    if Sim.Prof.is_on t.prof then handler_label t dst_node msg
     else Sim.Prof.none
   in
   Sim.Engine.schedule_at t.eng ~label ~time:finish (fun () ->
-      if (not (node_failed t dst_node)) && ep = epoch_of t dst_node then begin
+      if (not (node_failed t dst_node)) && dst_node.incarnation = inc then begin
         dst_node.processed <- dst_node.processed + 1;
         (match t.meter with
         | None -> ()
-        | Some m -> Sim.Metrics.incr (meter_kind_recv m (m.kind_of msg)));
+        | Some m -> Sim.Metrics.incr (meter_kind_recv m (m.kind_index msg)));
         dst_node.handler msg
       end)
 
@@ -532,16 +560,19 @@ let direct_send t ~src_node ~dst_node msg =
   let now = Sim.Engine.now t.eng in
   let arrival = now + transit_us t ~src_dc:src_node.dc ~dst_dc:dst_node.dc in
   (* FIFO per channel: never deliver before an earlier send's arrival. *)
-  let key = (src_node.addr, dst_node.addr) in
-  let arrival =
-    match Hashtbl.find_opt t.fifo key with
-    | Some last when arrival <= last -> last + 1
-    | _ -> arrival
-  in
-  Hashtbl.replace t.fifo key arrival;
-  let ep = (epoch_of t src_node, epoch_of t dst_node) in
+  let dst = dst_node.addr in
+  if dst >= Array.length src_node.fifo then begin
+    let fifo = Array.make (max (dst + 1) (2 * Array.length src_node.fifo)) (-1) in
+    Array.blit src_node.fifo 0 fifo 0 (Array.length src_node.fifo);
+    src_node.fifo <- fifo
+  end;
+  let last = src_node.fifo.(dst) in
+  let arrival = if arrival <= last then last + 1 else arrival in
+  src_node.fifo.(dst) <- arrival;
+  let src_inc = src_node.incarnation and dst_inc = dst_node.incarnation in
   Sim.Engine.schedule_at t.eng ~label:(lab_deliver t) ~time:arrival (fun () ->
-      if ep <> (epoch_of t src_node, epoch_of t dst_node) then ()
+      if src_node.incarnation <> src_inc || dst_node.incarnation <> dst_inc
+      then ()
       else if node_failed t dst_node then
         count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
       else process t dst_node msg)
@@ -601,10 +632,12 @@ let rec send_ack t ~src ~dst ~upto =
           let delay =
             transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc + extra_us
           in
-          let ep = (epoch_of t src_node, epoch_of t dst_node) in
+          let src_inc = src_node.incarnation
+          and dst_inc = dst_node.incarnation in
           Sim.Engine.schedule t.eng ~label:(lab_ack t) ~delay (fun () ->
               if
-                ep = (epoch_of t src_node, epoch_of t dst_node)
+                src_node.incarnation = src_inc
+                && dst_node.incarnation = dst_inc
                 && not (node_failed t src_node)
               then
                 match Hashtbl.find_opt t.tx_flows (src, dst) with
@@ -703,10 +736,13 @@ and transmit t f ~src ~dst seq msg =
   | Faults.Cut -> count_drop t Partition ~src_dc ~dst_dc
   | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
   | Faults.Deliver { extra_us; duplicate } ->
-      let ep = (epoch_of t src_node, epoch_of t dst_node) in
+      let src_inc = src_node.incarnation and dst_inc = dst_node.incarnation in
       let deliver_after delay =
         Sim.Engine.schedule t.eng ~label:(lab_deliver t) ~delay (fun () ->
-            if ep = (epoch_of t src_node, epoch_of t dst_node) then
+            if
+              src_node.incarnation = src_inc
+              && dst_node.incarnation = dst_inc
+            then
               deliver_data t ~src ~dst seq msg)
       in
       deliver_after (transit_us t ~src_dc ~dst_dc + extra_us);
@@ -783,7 +819,7 @@ let send t ~src ~dst msg =
     | None -> ()
     | Some m ->
         let bytes = m.size_of msg in
-        let kind_msgs, kind_bytes = meter_kind_sent m (m.kind_of msg) in
+        let kind_msgs, kind_bytes = meter_kind_sent m (m.kind_index msg) in
         Sim.Metrics.incr kind_msgs;
         Sim.Metrics.incr ~by:bytes kind_bytes;
         let link_msgs, link_bytes =
@@ -827,7 +863,8 @@ let unacked_matching t ~f =
       Hashtbl.fold
         (fun _ fl acc ->
           Queue.fold
-            (fun acc p -> if f (m.kind_of p.msg) then acc + 1 else acc)
+            (fun acc p ->
+              if f m.kinds.(m.kind_index p.msg) then acc + 1 else acc)
             acc fl.unacked)
         t.tx_flows 0
 

@@ -39,7 +39,7 @@ val engine : 'm t -> Sim.Engine.t
 
     [~name] is the node's profiling identity: handler-execution events
     are attributed to ["<name>/handle:<kind>"] (kind from the installed
-    meter's [kind_of], or ["msg"] without one). Defaults to
+    meter's [kinds], or ["msg"] without one). Defaults to
     ["node<addr>"]. *)
 val register :
   'm t ->
@@ -131,10 +131,16 @@ val rto_cap : 'm t -> int
     [net_fast_retransmits_total], [net_dup_acks_total],
     [net_dups_suppressed_total], [net_acks_total]), drops by cause
     ([net_dropped_total]) and per-link flow-buffer depth gauges
-    ([net_flow_backlog], with tracked maxima). [kind_of] names a
-    message; [size_of] estimates its wire size in bytes. *)
+    ([net_flow_backlog], with tracked maxima). [kind_index] numbers a
+    message's kind, an index into [kinds], which names it; [size_of]
+    estimates its wire size in bytes. *)
 val set_meter :
-  'm t -> Sim.Metrics.t -> kind_of:('m -> string) -> size_of:('m -> int) -> unit
+  'm t ->
+  Sim.Metrics.t ->
+  kinds:string array ->
+  kind_index:('m -> int) ->
+  size_of:('m -> int) ->
+  unit
 
 (** {1 Statistics} *)
 

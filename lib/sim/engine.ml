@@ -67,21 +67,26 @@ let stop t = t.stopped <- true
 let run ?until t =
   t.stopped <- false;
   let limit = match until with None -> max_int | Some u -> u in
-  let rec loop () =
-    if t.stopped then ()
-    else
-      match Heap.peek t.queue with
-      | None -> ()
-      | Some { time; _ } when time > limit ->
+  let q = t.queue in
+  (* allocation-free per event: the heap hands out the head's time, tag
+     and thunk without building an entry *)
+  let loop () =
+    let running = ref true in
+    while !running && not t.stopped do
+      if Heap.is_empty q then running := false
+      else begin
+        let time = Heap.min_time q in
+        if time > limit then begin
           (* Leave the clock at the limit and the event in the queue: a
              later [run] slice must see it — dropping it here kills
              self-rescheduling loops (periodic tasks, retransmission
              timers) for the rest of the simulation. *)
-          t.now <- max t.now limit
-      | Some _ ->
-          let { Heap.time; value = f; tag; _ } =
-            Option.get (Heap.pop t.queue)
-          in
+          if limit > t.now then t.now <- limit;
+          running := false
+        end
+        else begin
+          let tag = Heap.min_tag q in
+          let f = Heap.pop q in
           t.now <- time;
           t.executed <- t.executed + 1;
           if Prof.is_on t.prof then begin
@@ -89,8 +94,10 @@ let run ?until t =
             Prof.account t.prof tag f;
             t.cur_label <- Prof.none
           end
-          else f ();
-          loop ()
+          else f ()
+        end
+      end
+    done
   in
   let t0 = Prof.wall t.prof in
   Fun.protect

@@ -151,8 +151,10 @@ let check ~baseline ~artifact =
 
 (* Derive a baseline from a measured artifact: budgets are the measured
    words/event inflated by [headroom_pct] (absorbing compiler/runtime
-   drift below the gate's own tolerance), the advisory events/sec floor
-   is half the measured rate. [bin/perfcheck.exe --init] writes this. *)
+   drift below the gate's own tolerance) and rounded up to a tenth of a
+   word, so a label allocating almost nothing still gets a budget it
+   meets; the advisory events/sec floor is half the measured rate.
+   [bin/perfcheck.exe --init] writes this. *)
 let baseline_of_artifact ?(headroom_pct = 5.0) ?(tolerance_pct = 10.0)
     ?(min_coverage_pct = 95.0) ?(min_events = 500) artifact =
   let budgets =
@@ -169,7 +171,7 @@ let baseline_of_artifact ?(headroom_pct = 5.0) ?(tolerance_pct = 10.0)
                      ("label", Json.String label);
                      ( "words_per_event",
                        Json.Float
-                         (Float.round
+                         (Float.ceil
                             (wpe *. (1.0 +. (headroom_pct /. 100.0)) *. 10.0)
                          /. 10.0) );
                    ]))

@@ -382,56 +382,118 @@ let size_bytes = function
   | State_request _ -> header_bytes + 16
   | Fd_ping _ -> header_bytes + 8
 
-let kind = function
-  | C_start _ -> "c_start"
-  | C_read _ -> "c_read"
-  | C_update _ -> "c_update"
-  | C_commit_causal _ -> "c_commit_causal"
-  | C_commit_strong _ -> "c_commit_strong"
-  | C_uniform_barrier _ -> "c_uniform_barrier"
-  | C_attach _ -> "c_attach"
-  | C_failover _ -> "c_failover"
-  | C_resubmit_strong _ -> "c_resubmit_strong"
-  | R_started _ -> "r_started"
-  | R_value _ -> "r_value"
-  | R_committed _ -> "r_committed"
-  | R_strong _ -> "r_strong"
-  | R_ok _ -> "r_ok"
-  | R_overloaded _ -> "r_overloaded"
-  | Get_version _ -> "get_version"
-  | Version _ -> "version"
-  | Prepare _ -> "prepare"
-  | Prepare_ack _ -> "prepare_ack"
-  | Commit _ -> "commit"
-  | Commit_query _ -> "commit_query"
-  | Commit_abort _ -> "commit_abort"
-  | Replicate _ -> "replicate"
-  | Heartbeat _ -> "heartbeat"
-  | Repair_request _ -> "repair_request"
-  | Repair_log _ -> "repair_log"
-  | Kv_up _ -> "kv_up"
-  | Stable_down _ -> "stable_down"
-  | Stablevec _ -> "stablevec"
-  | Knownvec_global _ -> "knownvec_global"
-  | Prepare_strong _ -> "prepare_strong"
-  | Already_decided _ -> "already_decided"
-  | Accept _ -> "accept"
-  | Accept_ack _ -> "accept_ack"
-  | Unknown_tx _ -> "unknown_tx"
-  | Unknown_tx_ack _ -> "unknown_tx_ack"
-  | Decision _ -> "decision"
-  | Learn_decision _ -> "learn_decision"
-  | Deliver _ -> "deliver"
-  | Push_updates _ -> "push_updates"
-  | Nack _ -> "nack"
-  | New_leader _ -> "new_leader"
-  | New_leader_ack _ -> "new_leader_ack"
-  | New_state _ -> "new_state"
-  | New_state_ack _ -> "new_state_ack"
-  | Sync_request _ -> "sync_request"
-  | Sync_store _ -> "sync_store"
-  | Sync_pull _ -> "sync_pull"
-  | Sync_log _ -> "sync_log"
-  | Sync_tail _ -> "sync_tail"
-  | State_request _ -> "state_request"
-  | Fd_ping _ -> "fd_ping"
+(* Message kinds, as small integers for the transport's per-kind
+   tables and as names for metrics labels and profiling. [kind_index]
+   numbers the constructors in declaration order; [kind_names] is
+   indexed by it. *)
+let kind_index = function
+  | C_start _ -> 0
+  | C_read _ -> 1
+  | C_update _ -> 2
+  | C_commit_causal _ -> 3
+  | C_commit_strong _ -> 4
+  | C_uniform_barrier _ -> 5
+  | C_attach _ -> 6
+  | C_failover _ -> 7
+  | C_resubmit_strong _ -> 8
+  | R_started _ -> 9
+  | R_value _ -> 10
+  | R_committed _ -> 11
+  | R_strong _ -> 12
+  | R_ok _ -> 13
+  | R_overloaded _ -> 14
+  | Get_version _ -> 15
+  | Version _ -> 16
+  | Prepare _ -> 17
+  | Prepare_ack _ -> 18
+  | Commit _ -> 19
+  | Commit_query _ -> 20
+  | Commit_abort _ -> 21
+  | Replicate _ -> 22
+  | Heartbeat _ -> 23
+  | Repair_request _ -> 24
+  | Repair_log _ -> 25
+  | Kv_up _ -> 26
+  | Stable_down _ -> 27
+  | Stablevec _ -> 28
+  | Knownvec_global _ -> 29
+  | Prepare_strong _ -> 30
+  | Already_decided _ -> 31
+  | Accept _ -> 32
+  | Accept_ack _ -> 33
+  | Unknown_tx _ -> 34
+  | Unknown_tx_ack _ -> 35
+  | Decision _ -> 36
+  | Learn_decision _ -> 37
+  | Deliver _ -> 38
+  | Push_updates _ -> 39
+  | Nack _ -> 40
+  | New_leader _ -> 41
+  | New_leader_ack _ -> 42
+  | New_state _ -> 43
+  | New_state_ack _ -> 44
+  | Sync_request _ -> 45
+  | Sync_store _ -> 46
+  | Sync_pull _ -> 47
+  | Sync_log _ -> 48
+  | Sync_tail _ -> 49
+  | State_request _ -> 50
+  | Fd_ping _ -> 51
+
+let kind_names =
+  [|
+    "c_start";
+    "c_read";
+    "c_update";
+    "c_commit_causal";
+    "c_commit_strong";
+    "c_uniform_barrier";
+    "c_attach";
+    "c_failover";
+    "c_resubmit_strong";
+    "r_started";
+    "r_value";
+    "r_committed";
+    "r_strong";
+    "r_ok";
+    "r_overloaded";
+    "get_version";
+    "version";
+    "prepare";
+    "prepare_ack";
+    "commit";
+    "commit_query";
+    "commit_abort";
+    "replicate";
+    "heartbeat";
+    "repair_request";
+    "repair_log";
+    "kv_up";
+    "stable_down";
+    "stablevec";
+    "knownvec_global";
+    "prepare_strong";
+    "already_decided";
+    "accept";
+    "accept_ack";
+    "unknown_tx";
+    "unknown_tx_ack";
+    "decision";
+    "learn_decision";
+    "deliver";
+    "push_updates";
+    "nack";
+    "new_leader";
+    "new_leader_ack";
+    "new_state";
+    "new_state_ack";
+    "sync_request";
+    "sync_store";
+    "sync_pull";
+    "sync_log";
+    "sync_tail";
+    "state_request";
+    "fd_ping";
+  |]
+
+let kind m = kind_names.(kind_index m)

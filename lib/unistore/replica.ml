@@ -528,15 +528,14 @@ let wait_until t pred action =
 
 let push_wait t heap ~threshold k =
   t.wait_seq <- t.wait_seq + 1;
-  Sim.Heap.push heap ~time:threshold ~seq:t.wait_seq k
+  Sim.Heap.push heap ~time:threshold ~seq:t.wait_seq ~tag:0 k
 
-let rec flush_wait heap ~frontier =
-  match Sim.Heap.peek heap with
-  | Some e when e.Sim.Heap.time <= frontier ->
-      ignore (Sim.Heap.pop heap);
-      e.Sim.Heap.value ();
-      flush_wait heap ~frontier
-  | _ -> ()
+let flush_wait heap ~frontier =
+  while
+    (not (Sim.Heap.is_empty heap)) && Sim.Heap.min_time heap <= frontier
+  do
+    (Sim.Heap.pop heap) ()
+  done
 
 (* Run [k] once knownVec[d] >= local and knownVec[strong] >= strong
    (Algorithm A3 line 4). *)

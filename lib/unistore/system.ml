@@ -164,7 +164,8 @@ let create cfg =
      transport counters, replicas/clients the transaction-lifecycle
      histograms, the detector its transition counters *)
   let metrics = Sim.Metrics.create () in
-  Network.set_meter net metrics ~kind_of:Msg.kind ~size_of:Msg.size_bytes;
+  Network.set_meter net metrics ~kinds:Msg.kind_names ~kind_index:Msg.kind_index
+    ~size_of:Msg.size_bytes;
   (* retransmission backoff cap derived from the deployment instead of a
      hard-coded constant: see [Config.rto_cap_us] *)
   Network.set_rto_cap net (Config.rto_cap_us cfg);

@@ -144,6 +144,24 @@ let test_schedule_at_past_clamps () =
   Sim.Engine.run eng;
   Alcotest.(check int) "clamped to now" 100 !fired
 
+(* The run loop takes each event's time, label and thunk straight out
+   of the heap: executing 10,000 queued no-op events allocates only the
+   loop's fixed per-call setup, not a word per event. *)
+let test_run_loop_allocation_free () =
+  let eng = Sim.Engine.create () in
+  let noop () = () in
+  let n = 10_000 in
+  for i = 1 to n do
+    Sim.Engine.schedule_at eng ~time:(i * 7919 mod 1_000) noop
+  done;
+  let before = Gc.minor_words () in
+  Sim.Engine.run eng;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all events ran" n (Sim.Engine.executed_events eng);
+  Alcotest.(check bool)
+    (Fmt.str "%.0f words for %d events" words n)
+    true (words < 100.0)
+
 let suite =
   [
     Alcotest.test_case "events fire in time order" `Quick test_time_ordering;
@@ -162,4 +180,6 @@ let suite =
     Alcotest.test_case "event counters" `Quick test_counters;
     Alcotest.test_case "past schedule_at clamps to now" `Quick
       test_schedule_at_past_clamps;
+    Alcotest.test_case "the run loop allocates nothing per event" `Quick
+      test_run_loop_allocation_free;
   ]

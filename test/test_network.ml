@@ -165,7 +165,9 @@ let mk_reliable ?(jitter = 0) () =
   let eng, net = mk ~jitter () in
   let faults = Net.Network.enable_faults net in
   let reg = Sim.Metrics.create () in
-  Net.Network.set_meter net reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8);
+  Net.Network.set_meter net reg ~kinds:[| "m" |]
+    ~kind_index:(fun _ -> 0)
+    ~size_of:(fun _ -> 8);
   let received = ref [] in
   let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun _ -> ()) in
   let b =
@@ -318,6 +320,114 @@ let test_recover_node_fresh_flow () =
   Alcotest.(check int) "no stale packet reached the fresh receiver" 0
     (Net.Network.duplicates_suppressed net)
 
+(* --- incarnations: in-flight traffic across crash and recovery ---------- *)
+
+(* Each scenario runs on the direct path and, with a clean fault model
+   installed, on the reliable path. Virginia -> California is inter-DC,
+   so with faults it rides the ack/retransmit layer. *)
+let mk_paths ~reliable ?(jitter = 0) () =
+  let eng, net = mk ~jitter () in
+  if reliable then ignore (Net.Network.enable_faults net);
+  (eng, net)
+
+let path_name reliable = if reliable then "reliable" else "direct"
+
+let test_dc_recovery_kills_inflight reliable () =
+  let eng, net = mk_paths ~reliable () in
+  let at_a = ref 0 and at_b = ref 0 in
+  let a =
+    Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun (_ : int) ->
+        incr at_a)
+  in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) (fun (_ : int) ->
+        incr at_b)
+  in
+  (* both directions are in flight (30.5 ms one way) when dc 1 crashes
+     at 1 ms and comes back at 2 ms: neither may land in the new
+     incarnation *)
+  Net.Network.send net ~src:a ~dst:b 0;
+  Net.Network.send net ~src:b ~dst:a 0;
+  Sim.Engine.schedule_at eng ~time:1_000 (fun () -> Net.Network.fail_dc net 1);
+  Sim.Engine.schedule_at eng ~time:2_000 (fun () ->
+      Net.Network.recover_dc net 1);
+  run_bounded eng;
+  Alcotest.(check int) "pre-crash message to the DC never delivered" 0 !at_b;
+  Alcotest.(check int) "pre-crash message from the DC never delivered" 0
+    !at_a;
+  (* the channel itself works in the new incarnation *)
+  Net.Network.send net ~src:a ~dst:b 1;
+  run_bounded eng;
+  Alcotest.(check int) "fresh send delivered" 1 !at_b
+
+let test_client_survives_dc_recovery reliable () =
+  let eng, net = mk_paths ~reliable () in
+  let at_c = ref 0 and at_b = ref 0 in
+  (* a client session colocated with dc 0 talks to a replica in the
+     live dc 1 while dc 0 crashes and recovers: the client is outside
+     dc 0's failure domain, so its in-flight traffic survives *)
+  let c =
+    Net.Network.register net ~client:true ~dc:0 ~cost:(fun _ -> 0)
+      (fun (_ : int) -> incr at_c)
+  in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) (fun (_ : int) ->
+        incr at_b)
+  in
+  Net.Network.send net ~src:c ~dst:b 0;
+  Net.Network.send net ~src:b ~dst:c 0;
+  Sim.Engine.schedule_at eng ~time:1_000 (fun () -> Net.Network.fail_dc net 0);
+  Sim.Engine.schedule_at eng ~time:2_000 (fun () ->
+      Net.Network.recover_dc net 0);
+  run_bounded eng;
+  Alcotest.(check int) "client -> live DC delivered" 1 !at_b;
+  Alcotest.(check int) "live DC -> client delivered" 1 !at_c;
+  Alcotest.(check int) "nothing dropped" 0 (Net.Network.messages_dropped net);
+  Alcotest.(check int) "delivered on the first transmission" 0
+    (Net.Network.retransmissions net)
+
+let test_recover_node_no_fifo_clamp reliable () =
+  let jitter = 1_000_000 in
+  let eng, net = mk_paths ~reliable ~jitter () in
+  let fresh = ref [] in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) (fun (m : int) ->
+        if m >= 1_000 then fresh := (m, Sim.Engine.now eng) :: !fresh)
+  in
+  (* ten senders each put 100 messages in flight at 0 ms; with up to
+     1 s of jitter, each channel's last pre-crash arrival lands near
+     1 s. b restarts at 1 ms and each sender sends one fresh message:
+     it must arrive at its own jittered transit time, not be held
+     behind its channel's discarded pre-crash arrivals. Clamped, every
+     fresh arrival would come after ~1 s; unclamped, the earliest of
+     ten draws is below half the jitter unless all ten land above. *)
+  let senders =
+    List.init 10 (fun _ ->
+        Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun _ -> ()))
+  in
+  List.iter
+    (fun a ->
+      for i = 0 to 99 do
+        Net.Network.send net ~src:a ~dst:b i
+      done)
+    senders;
+  let restart_us = 1_000 in
+  Sim.Engine.schedule_at eng ~time:restart_us (fun () ->
+      Net.Network.fail_node net b;
+      Net.Network.recover_node net b;
+      List.iteri
+        (fun i a -> Net.Network.send net ~src:a ~dst:b (1_000 + i))
+        senders);
+  run_bounded eng;
+  Alcotest.(check (list int)) "each fresh send delivered once"
+    (List.init 10 (fun i -> 1_000 + i))
+    (List.sort compare (List.map fst !fresh));
+  let first_us = List.fold_left (fun acc (_, at) -> min acc at) max_int !fresh in
+  Alcotest.(check bool)
+    (Fmt.str "earliest fresh arrival at %d us is not clamped" first_us)
+    true
+    (first_us <= restart_us + 30_500 + (jitter / 2))
+
 let suite =
   [
     Alcotest.test_case "WAN latency from the topology" `Quick test_latency;
@@ -344,3 +454,21 @@ let suite =
     Alcotest.test_case "reliable layer: node restart starts a clean flow"
       `Quick test_recover_node_fresh_flow;
   ]
+  @ List.concat_map
+      (fun reliable ->
+        let p = path_name reliable in
+        [
+          Alcotest.test_case
+            (Fmt.str "%s: DC recovery discards pre-crash traffic" p)
+            `Quick
+            (test_dc_recovery_kills_inflight reliable);
+          Alcotest.test_case
+            (Fmt.str "%s: client traffic survives its DC's recovery" p)
+            `Quick
+            (test_client_survives_dc_recovery reliable);
+          Alcotest.test_case
+            (Fmt.str "%s: node restart resets the FIFO clamp" p)
+            `Quick
+            (test_recover_node_no_fifo_clamp reliable);
+        ])
+      [ false; true ]

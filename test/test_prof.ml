@@ -314,7 +314,16 @@ let artifact ?(coverage = 99.0) ?(rate = 200_000.0) rows =
     ]
 
 let test_perfgate_pass () =
-  let a = artifact [ ("net/deliver", 100.0, 5000); ("wal/fsync", 40.0, 800) ] in
+  (* the last label allocates almost nothing: its budget must still
+     cover it, not round down to 0.0 *)
+  let a =
+    artifact
+      [
+        ("net/deliver", 100.0, 5000);
+        ("wal/fsync", 40.0, 800);
+        ("dc0/replica/handle:kv_up", 0.0068, 5849);
+      ]
+  in
   let baseline = Sim.Perfgate.baseline_of_artifact a in
   let r = Sim.Perfgate.check ~baseline ~artifact:a in
   Alcotest.(check bool) "fresh baseline passes" true (Sim.Perfgate.ok r);
